@@ -148,21 +148,6 @@ void BM_ReadDocumentBySize_Baseline(benchmark::State& state) {
 }
 BENCHMARK(BM_ReadDocumentBySize_Baseline)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
-// The same read with the worker pool on: embedded objects decode in
-// parallel.  GenerateCompoundDocument gives the root several children.
-void BM_ReadCompoundParallel(benchmark::State& state) {
-  Setup();
-  std::string serialized = MakeDocument(64, 2);
-  for (auto _ : state) {
-    ReadContext ctx;
-    ctx.EnableDeferredDecode(static_cast<int>(state.range(0)));
-    std::unique_ptr<DataObject> read = ReadDocument(serialized, &ctx);
-    benchmark::DoNotOptimize(read);
-  }
-  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(serialized.size()));
-}
-BENCHMARK(BM_ReadCompoundParallel)->Arg(1)->Arg(4)->Arg(8);
-
 void BM_RoundTripCompoundByNesting(benchmark::State& state) {
   Setup();
   std::string serialized = MakeDocument(4, static_cast<int>(state.range(0)));

@@ -8,7 +8,7 @@
 //                           + layout prefix reuse)
 //   BM_MailCorpusRoundTrip — compound documents through write -> corrupt ->
 //                           salvage -> read -> re-write -> re-read (writer
-//                           chunking, zero-copy reader, deferred decode,
+//                           chunking, zero-copy reader, embedded decode,
 //                           salvager)
 //   BM_ReplayFanOut       — a recorded multi-session edit trace replayed
 //                           against a fresh server (observer fan-out,

@@ -21,7 +21,9 @@ class Scrollable {
  public:
   virtual ~Scrollable() = default;
 
-  virtual ScrollInfo GetScrollInfo() const = 0;
+  // Describes what the next paint shows: a scrollee whose layout is stale
+  // lays out first, which is why this is not const.
+  virtual ScrollInfo GetScrollInfo() = 0;
   // Makes `unit` the first visible unit (clamped by the scrollee).
   virtual void ScrollToUnit(int64_t unit) = 0;
   virtual void ScrollByUnits(int64_t delta) {

@@ -63,6 +63,14 @@ void ScrollBarView::FullUpdate() {
     g->SetForeground(kBlack);
     g->DrawRect(elevator);
   }
+  painted_elevator_ = elevator;
+}
+
+void ScrollBarView::WantUpdate(View* requestor, const Rect& device_region) {
+  View::WantUpdate(requestor, device_region);
+  if (requestor == body_ && graphic() != nullptr && ElevatorRect() != painted_elevator_) {
+    PostUpdate(Rect{0, 0, kBarWidth, graphic()->height()});
+  }
 }
 
 void ScrollBarView::ScrollToFraction(double fraction) {

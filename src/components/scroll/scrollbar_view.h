@@ -32,6 +32,11 @@ class ScrollBarView : public View {
   void FullUpdate() override;
   View* Hit(const InputEvent& event) override;
   CursorShape CursorAt(Point local) override;
+  // §3's upward channel passes through the bar on its way from the body.
+  // When a post from the body comes with a moved elevator (a key
+  // page-scroll, a line-count change, a replaced document), the bar strip
+  // is posted too — the strip only, so the body is not repainted for it.
+  void WantUpdate(View* requestor, const Rect& device_region) override;
 
   // The elevator rectangle in local coordinates (empty when no scrollable).
   Rect ElevatorRect() const;
@@ -43,6 +48,7 @@ class ScrollBarView : public View {
   Scrollable* scrollable_ = nullptr;
   bool dragging_ = false;
   int drag_offset_ = 0;
+  Rect painted_elevator_;  // As last drawn by FullUpdate.
 };
 
 }  // namespace atk

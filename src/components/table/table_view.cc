@@ -55,7 +55,7 @@ void TableView::CancelEdit() {
   PostUpdate();
 }
 
-ScrollInfo TableView::GetScrollInfo() const {
+ScrollInfo TableView::GetScrollInfo() {
   ScrollInfo info;
   TableData* data = table();
   if (data == nullptr) {

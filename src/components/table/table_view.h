@@ -39,7 +39,7 @@ class TableView : public View, public Scrollable {
   void CancelEdit();
 
   // ---- Scrollable (rows) ----
-  ScrollInfo GetScrollInfo() const override;
+  ScrollInfo GetScrollInfo() override;
   void ScrollToUnit(int64_t unit) override;
 
   // ---- View protocol ----

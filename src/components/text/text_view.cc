@@ -243,12 +243,16 @@ DataObject* TextView::InsertObjectAtDot(std::unique_ptr<DataObject> data,
 
 // ---- Scrolling ---------------------------------------------------------------
 
-ScrollInfo TextView::GetScrollInfo() const {
+ScrollInfo TextView::GetScrollInfo() {
   ScrollInfo info;
   TextData* data = text();
   if (data == nullptr) {
     return info;
   }
+  // `visible` counts laid-out lines: a scroll or edit since the last paint
+  // must be laid out first, or a scroll bar painted before this view would
+  // draw the previous layout's elevator.
+  EnsureLayout();
   info.total = data->LineCount();
   info.first_visible = data->LineOfPos(top_pos_);
   // Count distinct document lines currently laid out.

@@ -63,7 +63,7 @@ class TextView : public View, public Scrollable {
                                 std::string_view view_type = "");
 
   // ---- Scrollable ----
-  ScrollInfo GetScrollInfo() const override;
+  ScrollInfo GetScrollInfo() override;
   void ScrollToUnit(int64_t unit) override;
 
   // ---- View protocol ----

@@ -158,7 +158,7 @@ int ListView::RowsVisible() const {
   return std::max(1, graphic()->height() / RowHeight());
 }
 
-ScrollInfo ListView::GetScrollInfo() const {
+ScrollInfo ListView::GetScrollInfo() {
   ScrollInfo info;
   info.total = static_cast<int64_t>(items_.size());
   info.first_visible = first_visible_;

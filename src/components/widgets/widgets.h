@@ -84,7 +84,7 @@ class ListView : public View, public Scrollable {
   void SetOnSelect(std::function<void(int)> on_select) { on_select_ = std::move(on_select); }
 
   // ---- Scrollable ----
-  ScrollInfo GetScrollInfo() const override;
+  ScrollInfo GetScrollInfo() override;
   void ScrollToUnit(int64_t unit) override;
 
   // ---- View protocol ----

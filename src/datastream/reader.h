@@ -107,8 +107,8 @@ class DataStreamReader {
   // A sub-reader over one embedded object captured by SkipObject: lexes
   // `capture.with_end` as if the object's \begindata{type,id} had just been
   // consumed (the marker is pre-opened, so the body's own \enddata balances).
-  // Used by the parallel decode stage; the parent reader's pinned buffer
-  // must outlive the sub-reader.
+  // Lets an object be decoded after its bytes were skipped; the parent
+  // reader's pinned buffer must outlive the sub-reader.
   static DataStreamReader ForEmbeddedObject(const RawCapture& capture,
                                             std::string_view type, int64_t id);
 
@@ -130,7 +130,8 @@ class DataStreamReader {
   // peek point first, so the peeked token's bytes are part of the skipped
   // body instead of being silently dropped (the pre-PR-5 footgun).
   bool SkipObject(std::string_view type, int64_t id, std::string_view* raw_body = nullptr);
-  // As above, capturing the full extent for deferred decode.
+  // As above, capturing the full extent so ForEmbeddedObject can decode the
+  // object later.
   bool SkipObject(std::string_view type, int64_t id, RawCapture* capture);
 
   // Nesting depth of open \begindata markers seen so far.

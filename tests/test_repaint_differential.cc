@@ -16,7 +16,10 @@
 
 #include "src/apps/standard_modules.h"
 #include "src/base/interaction_manager.h"
+#include "src/base/keymap.h"
 #include "src/class_system/loader.h"
+#include "src/components/frame/frame_view.h"
+#include "src/components/scroll/scrollbar_view.h"
 #include "src/components/table/chart.h"
 #include "src/components/table/table_data.h"
 #include "src/components/text/text_view.h"
@@ -169,7 +172,14 @@ TEST_P(RepaintDifferentialTest, ScrollWorkload) {
   doc.SetText(body);
   TextView view;
   view.SetText(&doc);
-  im->SetChild(&view);
+  // EZ's tree: frame -> scroll bar -> text view.  Every step also holds the
+  // bar's elevator to the body's scroll state, whoever moved it.
+  ScrollBarView bar;
+  bar.SetBody(&view);
+  FrameView frame;
+  frame.SetBody(&bar);
+  im->SetChild(&frame);
+  im->SetInputFocus(&view);
   CheckStep(*im, "scroll", 0);
 
   int step = 1;
@@ -181,6 +191,22 @@ TEST_P(RepaintDifferentialTest, ScrollWorkload) {
   // Edit mid-document while scrolled: damage-driven repaint of a partial view.
   view.SetDot(doc.LineEnd(doc.PosOfLine(13)));
   view.InsertText(" tail");
+  CheckStep(*im, "scroll", step++);
+
+  // Page scrolls by key (^V twice, ESC-v): the text view scrolls itself,
+  // not through the bar.
+  const std::string page_forward{Ctl('v')};
+  for (const std::string& keys : {page_forward, page_forward, std::string("\033v")}) {
+    for (char key : keys) {
+      im->window()->Inject(InputEvent::KeyPress(key));
+    }
+    CheckStep(*im, "scroll", step++);
+  }
+
+  // A replaced document with a different line count, under the same view.
+  TextData replacement;
+  replacement.SetText(body.substr(0, body.size() / 3));
+  view.SetText(&replacement);
   CheckStep(*im, "scroll", step++);
 
   view.SetText(nullptr);

@@ -6,6 +6,7 @@
 //   * dispatch cost as the tree deepens / widens, comparing the toolkit's
 //     parental-authority walk against the global/physical pick that the
 //     Andrew Base Editor used (the paper's baseline);
+//   * one keystroke -> update -> flush through the F1 tree;
 //   * one full update cycle through the F1 tree.
 
 #include <benchmark/benchmark.h>
@@ -77,16 +78,24 @@ void BM_Figure1_MouseEventThroughTree(benchmark::State& state) {
   state.counters["tree_depth"] = 4;
 }
 
+// Keystroke -> pixel on a fixed-size document: each iteration types a key
+// and takes it out again with a backspace, each through its own RunOnce
+// (dispatch, update cycle, window flush).  The document ends where it began
+// (doc_chars_delta reads 0), so the time per key does not drift with the
+// iteration count.
 void BM_Figure1_KeystrokeToFocusView(benchmark::State& state) {
   Figure1 fig;
   fig.im->SetInputFocus(&fig.text_view);
-  int64_t before = fig.letter.size();
+  const int64_t start_chars = fig.letter.size();
   for (auto _ : state) {
-    fig.im->ProcessEvent(InputEvent::KeyPress('x'));
+    fig.im->window()->Inject(InputEvent::KeyPress('x'));
+    fig.im->RunOnce();
+    fig.im->window()->Inject(InputEvent::KeyPress('\b'));
+    fig.im->RunOnce();
   }
-  state.SetItemsProcessed(state.iterations());
-  // Clean up the typed characters so repeated runs stay comparable.
-  fig.letter.DeleteRange(before, fig.letter.size() - before);
+  state.SetItemsProcessed(state.iterations() * 2);
+  state.counters["doc_chars"] = static_cast<double>(start_chars);
+  state.counters["doc_chars_delta"] = static_cast<double>(fig.letter.size() - start_chars);
 }
 
 void BM_Figure1_FullUpdateCycle(benchmark::State& state) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <map>
 
 #include "src/base/default_views.h"
@@ -154,14 +155,21 @@ void TextData::AdjustForDelete(int64_t pos, int64_t len) {
 }
 
 void TextData::NormalizeRuns() {
-  runs_.erase(std::remove_if(runs_.begin(), runs_.end(),
-                             [](const StyleRun& r) { return r.len <= 0; }),
-              runs_.end());
-  std::sort(runs_.begin(), runs_.end(),
-            [](const StyleRun& a, const StyleRun& b) { return a.pos < b.pos; });
-  // Merge adjacent runs of the same style.
+  std::stable_sort(runs_.begin(), runs_.end(),
+                   [](const StyleRun& a, const StyleRun& b) { return a.pos < b.pos; });
+  // Drop empty runs, trim overlaps in favour of the earlier run (only a
+  // hand-written or damaged \textstyle list overlaps), and merge adjacent
+  // runs of the same style, so StyleNameAt can binary-search.
   std::vector<StyleRun> merged;
   for (StyleRun& run : runs_) {
+    int64_t end = run.pos + run.len;
+    if (!merged.empty()) {
+      run.pos = std::max(run.pos, merged.back().pos + merged.back().len);
+    }
+    if (end <= run.pos) {
+      continue;
+    }
+    run.len = end - run.pos;
     if (!merged.empty() && merged.back().style == run.style &&
         merged.back().pos + merged.back().len == run.pos) {
       merged.back().len += run.len;
@@ -210,15 +218,27 @@ void TextData::ApplyStyle(int64_t pos, int64_t len, std::string_view style_name)
 void TextData::ClearStyles(int64_t pos, int64_t len) { ApplyStyle(pos, len, "default"); }
 
 const std::string& TextData::StyleNameAt(int64_t pos) const {
-  for (const StyleRun& run : runs_) {
-    if (pos >= run.pos && pos < run.pos + run.len) {
-      return run.style;
-    }
+  int64_t run_end = 0;
+  return StyleNameAt(pos, &run_end);
+}
+
+const std::string& TextData::StyleNameAt(int64_t pos, int64_t* run_end) const {
+  // The last run starting at or before `pos`; runs are sorted and disjoint.
+  auto next = std::upper_bound(runs_.begin(), runs_.end(), pos,
+                               [](int64_t p, const StyleRun& run) { return p < run.pos; });
+  if (next != runs_.begin() && pos < std::prev(next)->pos + std::prev(next)->len) {
+    *run_end = std::prev(next)->pos + std::prev(next)->len;
+    return std::prev(next)->style;
   }
+  *run_end = next == runs_.end() ? std::numeric_limits<int64_t>::max() : next->pos;
   return default_style_name_;
 }
 
 const Style& TextData::StyleAt(int64_t pos) const { return styles_.Get(StyleNameAt(pos)); }
+
+const Style& TextData::StyleAt(int64_t pos, int64_t* run_end) const {
+  return styles_.Get(StyleNameAt(pos, run_end));
+}
 
 int64_t TextData::LineStart(int64_t pos) const {
   pos = std::clamp<int64_t>(pos, 0, size());

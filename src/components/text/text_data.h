@@ -90,6 +90,10 @@ class TextData : public DataObject {
   // The style governing the character at `pos`.
   const Style& StyleAt(int64_t pos) const;
   const std::string& StyleNameAt(int64_t pos) const;
+  // As StyleAt(pos), and sets `*run_end` to the end of the stretch from
+  // `pos` that one style run (or the gap between two) governs: every
+  // position in [pos, *run_end) has this style.
+  const Style& StyleAt(int64_t pos, int64_t* run_end) const;
   const std::vector<StyleRun>& style_runs() const { return runs_; }
 
   // ---- Line helpers (used by views and the typescript component) ----
@@ -110,6 +114,7 @@ class TextData : public DataObject {
   void AdjustForInsert(int64_t pos, int64_t len);
   void AdjustForDelete(int64_t pos, int64_t len);
   void NormalizeRuns();
+  const std::string& StyleNameAt(int64_t pos, int64_t* run_end) const;
 
   GapBuffer buffer_;
   std::vector<EmbeddedObject> embedded_;  // Sorted by pos.

@@ -11,6 +11,31 @@ namespace atk {
 
 namespace {
 bool g_layout_cache_enabled = true;
+
+// The style and font governing a position.  A lookup re-resolves them only
+// when it leaves the stretch of text the previous resolution covered, so a
+// pass over the text resolves a font once per style run, not per character.
+class StyleCursor {
+ public:
+  explicit StyleCursor(const TextData& data) : data_(data) {}
+
+  const Style& Seek(int64_t pos) {
+    if (pos < from_ || pos >= to_) {
+      style_ = &data_.StyleAt(pos, &to_);
+      font_ = &Font::Get(style_->font);
+      from_ = pos;
+    }
+    return *style_;
+  }
+  const Font& font() const { return *font_; }
+
+ private:
+  const TextData& data_;
+  int64_t from_ = 0;  // [from_, to_) has style_; empty until the first Seek.
+  int64_t to_ = 0;
+  const Style* style_ = nullptr;
+  const Font* font_ = nullptr;
+};
 }  // namespace
 
 void TextView::SetLayoutCacheEnabled(bool enabled) { g_layout_cache_enabled = enabled; }
@@ -324,13 +349,15 @@ Size TextView::DesiredSize(Size available) {
   int max_width = 0;
   int total_height = 0;
   int64_t pos = 0;
+  StyleCursor at(*data);
   while (pos <= data->size()) {
     int64_t end = data->LineEnd(pos);
     int line_width = 0;
-    int line_height = Font::Get(data->StyleAt(pos).font).height();
+    at.Seek(pos);
+    int line_height = at.font().height();
     for (int64_t i = pos; i < end; ++i) {
-      const Style& style = data->StyleAt(i);
-      const Font& font = Font::Get(style.font);
+      at.Seek(i);
+      const Font& font = at.font();
       if (data->CharAt(i) == TextData::kObjectChar) {
         // Embedded objects in measured text: use a nominal box.
         line_width += 40;
@@ -451,13 +478,14 @@ void TextView::LayoutLines() {
       --keep;
     }
   }
+  StyleCursor at(*data);
   if (keep > 0) {
     static observability::Counter& cache_hits =
         observability::MetricsRegistry::Instance().counter("text.layout.cache_hit");
     cache_hits.Add(keep);
     layout_lines_reused_ += keep;
     pos = lines_[keep].start;
-    y = lines_[keep].y - data->StyleAt(pos).space_above;
+    y = lines_[keep].y - at.Seek(pos).space_above;
     lines_.resize(keep);
   } else {
     lines_.clear();
@@ -467,11 +495,11 @@ void TextView::LayoutLines() {
     LineBox line;
     line.start = pos;
     line.y = y;
-    const Style& line_style = data->StyleAt(pos);
+    const Style& line_style = at.Seek(pos);
     int indent = line_style.indent_left;
     int x = indent;
-    int max_ascent = Font::Get(line_style.font).ascent();
-    int max_descent = Font::Get(line_style.font).descent();
+    int max_ascent = at.font().ascent();
+    int max_descent = at.font().descent();
     int64_t last_space_pos = -1;
 
     y += line_style.space_above;
@@ -482,6 +510,8 @@ void TextView::LayoutLines() {
       if (ch == '\n') {
         break;
       }
+      const Style& style = at.Seek(pos);
+      const Font& font = at.font();
       if (ch == TextData::kObjectChar) {
         const TextData::EmbeddedObject* embedded = data->EmbeddedAt(pos);
         View* child = embedded != nullptr ? ChildViewFor(*embedded) : nullptr;
@@ -497,6 +527,7 @@ void TextView::LayoutLines() {
         seg.end = pos + 1;
         seg.x = margin_x_ + x;
         seg.width = child_size.width;
+        seg.font = &font;
         seg.child = child;
         line.segments.push_back(seg);
         x += child_size.width;
@@ -504,8 +535,6 @@ void TextView::LayoutLines() {
         ++pos;
         continue;
       }
-      const Style& style = data->StyleAt(pos);
-      const Font& font = Font::Get(style.font);
       int advance = font.advance();
       if (x + advance > usable_width && x > indent) {
         // Wrap: prefer the last space on this line, trimming the layout back
@@ -519,8 +548,7 @@ void TextView::LayoutLines() {
             Segment& seg = line.segments.back();
             seg.end = pos;
             if (seg.child == nullptr && seg.style != nullptr) {
-              seg.width =
-                  static_cast<int>(seg.end - seg.start) * Font::Get(seg.style->font).advance();
+              seg.width = static_cast<int>(seg.end - seg.start) * seg.font->advance();
             }
           }
         }
@@ -538,6 +566,7 @@ void TextView::LayoutLines() {
         seg.x = margin_x_ + x;
         seg.width = advance;
         seg.style = &style;
+        seg.font = &font;
         line.segments.push_back(seg);
       }
       if (ch == ' ') {
@@ -550,6 +579,8 @@ void TextView::LayoutLines() {
     }
 
     line.end = pos;
+    at.Seek(pos);
+    line.end_font = &at.font();
     line.baseline = max_ascent;
     line.height = max_ascent + max_descent;
 
@@ -588,8 +619,10 @@ void TextView::LayoutLines() {
         LineBox tail;
         tail.start = tail.end = pos;
         tail.y = y;
-        tail.baseline = Font::Get(data->StyleAt(pos).font).ascent();
-        tail.height = Font::Get(data->StyleAt(pos).font).height();
+        at.Seek(pos);
+        tail.end_font = &at.font();
+        tail.baseline = tail.end_font->ascent();
+        tail.height = tail.end_font->height();
         lines_.push_back(std::move(tail));
         break;
       }
@@ -623,11 +656,10 @@ void TextView::FullUpdate() {
       if (seg.child != nullptr || seg.style == nullptr) {
         continue;  // Children (and viewless placeholders) are not text runs.
       }
-      g->SetFont(seg.style->font);
+      g->SetFont(*seg.font);
       g->SetForeground(seg.style->color);
       std::string run = data->GetText(seg.start, seg.end - seg.start);
-      g->DrawString(Point{seg.x, line.y + line.baseline - Font::Get(seg.style->font).ascent()},
-                    run);
+      g->DrawString(Point{seg.x, line.y + line.baseline - seg.font->ascent()}, run);
     }
   }
   // Placeholder boxes for embedded objects without a view class.
@@ -655,12 +687,28 @@ void TextView::DrawCaret() {
     return;
   }
   Graphic* g = graphic();
-  const Font& font = text() != nullptr ? Font::Get(text()->StyleAt(dot_pos_).font)
-                                       : Font::Default();
+  const Font* laid_out = LaidOutFontAt(dot_pos_);
+  const Font& font = laid_out != nullptr ? *laid_out : Font::Default();
   g->SetForeground(kBlack);
   g->DrawLine(Point{p.x, p.y}, Point{p.x, p.y + font.height() - 1});
   // The classic Andrew caret: a small triangle under the insertion point.
   g->DrawLine(Point{p.x - 2, p.y + font.height() + 1}, Point{p.x + 2, p.y + font.height() + 1});
+}
+
+const Font* TextView::LaidOutFontAt(int64_t pos) const {
+  // The first line holding `pos`, as in PointAtPos.
+  for (const LineBox& line : lines_) {
+    if (pos < line.start || pos > line.end) {
+      continue;
+    }
+    for (const Segment& seg : line.segments) {
+      if (pos >= seg.start && pos < seg.end) {
+        return seg.font;
+      }
+    }
+    return line.end_font;
+  }
+  return nullptr;
 }
 
 void TextView::DrawSelection() {
@@ -680,9 +728,8 @@ void TextView::DrawSelection() {
       if (s >= e || seg.end == seg.start) {
         continue;
       }
-      const Font& font = Font::Get(seg.style->font);
-      int x0 = seg.x + static_cast<int>(s - seg.start) * font.advance();
-      int x1 = seg.x + static_cast<int>(e - seg.start) * font.advance();
+      int x0 = seg.x + static_cast<int>(s - seg.start) * seg.font->advance();
+      int x1 = seg.x + static_cast<int>(e - seg.start) * seg.font->advance();
       g->InvertRect(Rect{x0, line.y, x1 - x0, line.height});
     }
   }
@@ -717,8 +764,7 @@ int64_t TextView::PosAtPoint(Point p) {
       if (seg.child != nullptr || seg.style == nullptr) {
         return seg.start;
       }
-      const Font& font = Font::Get(seg.style->font);
-      int64_t idx = font.CharIndexAt(p.x - seg.x);
+      int64_t idx = seg.font->CharIndexAt(p.x - seg.x);
       return std::min(seg.start + idx, seg.end);
     }
   }
@@ -740,8 +786,7 @@ Point TextView::PointAtPos(int64_t pos) {
         if (seg.child != nullptr || seg.style == nullptr || seg.end == seg.start) {
           return Point{pos == seg.start ? seg.x : seg.x + seg.width, line.y};
         }
-        const Font& font = Font::Get(seg.style->font);
-        return Point{seg.x + static_cast<int>(pos - seg.start) * font.advance(), line.y};
+        return Point{seg.x + static_cast<int>(pos - seg.start) * seg.font->advance(), line.y};
       }
       x = seg.x + seg.width;
     }

@@ -113,6 +113,9 @@ class TextView : public View, public Scrollable {
     int x = 0;
     int width = 0;
     const Style* style = nullptr;
+    // The font of the style governing `start`, chosen at layout; painting,
+    // hit-testing and the caret use it without looking the font up again.
+    const Font* font = nullptr;
     View* child = nullptr;  // Non-null for embedded-object segments.
   };
   struct LineBox {
@@ -121,6 +124,8 @@ class TextView : public View, public Scrollable {
     int y = 0;
     int height = 0;
     int baseline = 0;  // y offset of the text baseline within the line.
+    // The font of the style governing `end` (a caret there takes its height).
+    const Font* end_font = nullptr;
     std::vector<Segment> segments;
   };
 
@@ -146,6 +151,9 @@ class TextView : public View, public Scrollable {
   void ScrollCaretIntoView();
   void DrawCaret();
   void DrawSelection();
+  // The laid-out font of the character at `pos`, or nullptr when `pos` is
+  // not laid out.
+  const Font* LaidOutFontAt(int64_t pos) const;
 
   int64_t dot_pos_ = 0;
   int64_t dot_len_ = 0;

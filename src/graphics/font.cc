@@ -1,10 +1,17 @@
 #include "src/graphics/font.h"
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 #include <sstream>
+#include <tuple>
 
 namespace atk {
+
+namespace {
+// A 10,240-point face: its 6,145-pixel cells still fit a Span's uint16_t.
+constexpr int kMaxScale = 1024;
+}  // namespace
 
 std::string FontSpec::ToString() const {
   std::ostringstream out;
@@ -47,19 +54,44 @@ FontSpec FontSpec::Parse(std::string_view name) {
 }
 
 Font::Font(const FontSpec& spec) : spec_(spec) {
-  // Nominal sizes up to 14 use the master bitmaps; larger sizes scale up.
-  scale_ = spec.size <= 14 ? 1 : (spec.size + 9) / 10;
-  if (scale_ < 1) {
-    scale_ = 1;
+  // Nominal sizes up to 14 use the master bitmaps; larger sizes scale up, to
+  // at most kMaxScale so that every cell coordinate fits a Span.
+  int size = std::min(spec.size, 10 * kMaxScale);
+  scale_ = size <= 14 ? 1 : (size + 9) / 10;
+  // Rasterize every glyph once: scan one device row per master row.
+  row_start_.reserve(kMasterGlyphCount * 7 + 1);
+  row_start_.push_back(0);
+  for (int g = 0; g < kMasterGlyphCount; ++g) {
+    // The box glyph's representative is '\0'; printable glyphs start at ' '.
+    char ch = g + 1 == kMasterGlyphCount ? '\0' : static_cast<char>(' ' + g);
+    for (int row = 0; row < 7; ++row) {
+      int y = row * scale_;
+      for (int x = 0; x < advance(); ++x) {
+        if (!GlyphBit(ch, x, y)) {
+          continue;
+        }
+        if (spans_.size() > row_start_.back() && spans_.back().x1 == x) {
+          ++spans_.back().x1;
+        } else {
+          spans_.push_back(Span{static_cast<uint16_t>(x), static_cast<uint16_t>(x + 1)});
+        }
+      }
+      row_start_.push_back(static_cast<uint16_t>(spans_.size()));
+    }
   }
+  spans_.shrink_to_fit();
 }
 
 const Font& Font::Get(const FontSpec& spec) {
-  static std::map<std::string, const Font*>* cache = new std::map<std::string, const Font*>();
-  std::string key = spec.ToString();
-  auto it = cache->find(key);
+  struct SpecLess {
+    bool operator()(const FontSpec& a, const FontSpec& b) const {
+      return std::tie(a.size, a.style, a.family) < std::tie(b.size, b.style, b.family);
+    }
+  };
+  static auto* cache = new std::map<FontSpec, const Font*, SpecLess>();
+  auto it = cache->find(spec);
   if (it == cache->end()) {
-    it = cache->emplace(key, new Font(spec)).first;
+    it = cache->emplace(spec, new Font(spec)).first;
   }
   return *it->second;
 }

@@ -6,14 +6,20 @@
 // pixel master face ("andy"), integer-scaled for sizes, with bold synthesized
 // by double-striking and italic by shearing.  Glyphs are authored as ASCII
 // art in font_data.cc, so the face is inspectable and testable.
+//
+// Fonts are interned by FontSpec, and each one rasterizes its glyphs once,
+// at construction, into per-row ink spans: drawing a glyph walks its spans
+// instead of testing every pixel of the cell.
 
 #ifndef ATK_SRC_GRAPHICS_FONT_H_
 #define ATK_SRC_GRAPHICS_FONT_H_
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace atk {
 
@@ -49,15 +55,32 @@ struct Glyph {
   }
 };
 
-// A concrete, sized font.  Instances are interned: Get() returns a reference
-// valid for the process lifetime.
+// The master glyph table holds ASCII 32..126 plus one box glyph, last, that
+// stands in for every other char.
+constexpr int kMasterGlyphCount = 96;
+// Index of `ch`'s glyph in the master table.
+inline int MasterGlyphIndex(char ch) {
+  int code = static_cast<unsigned char>(ch);
+  return code < ' ' || code > '~' ? kMasterGlyphCount - 1 : code - ' ';
+}
+
+// A concrete, sized font.  Instances are interned by FontSpec: Get() returns
+// a reference valid for the process lifetime.
 class Font {
  public:
+  // One horizontal run of ink in a glyph cell: pixels [x0, x1) of a row.
+  struct Span {
+    uint16_t x0 = 0;
+    uint16_t x1 = 0;
+  };
+
   static const Font& Get(const FontSpec& spec);
   // The default 10-point plain face.
   static const Font& Default();
 
   const FontSpec& spec() const { return spec_; }
+  // Integer magnification of the master face; sizes above 10,240 points
+  // render at that size.
   int scale() const { return scale_; }
 
   // Vertical metrics, in pixels.
@@ -77,6 +100,15 @@ class Font {
   // strike, italic shear) is already applied.
   bool GlyphBit(char ch, int x, int y) const;
 
+  // The inked pixels of row `y` (0 <= y < ascent()) of `ch`'s cell, as
+  // sorted, disjoint spans within [0, advance()): exactly the pixels for
+  // which GlyphBit is true.
+  std::span<const Span> RowSpans(char ch, int y) const {
+    size_t row = static_cast<size_t>(MasterGlyphIndex(ch) * 7 + y / scale_);
+    return std::span<const Span>(spans_).subspan(row_start_[row],
+                                                 row_start_[row + 1] - row_start_[row]);
+  }
+
   // Index of the first character cell at or after pixel `px` (hit-testing).
   int CharIndexAt(int px) const {
     if (px < 0) {
@@ -90,6 +122,12 @@ class Font {
 
   FontSpec spec_;
   int scale_ = 1;
+  // Ink spans of every glyph's 7 master rows, glyph-major; master row r of
+  // glyph g owns spans_[row_start_[g * 7 + r], row_start_[g * 7 + r + 1]).
+  // GlyphBit reads y only through y / scale_, so one master row serves all
+  // scale_ device rows it covers.
+  std::vector<Span> spans_;
+  std::vector<uint16_t> row_start_;
 };
 
 // Access to the master glyph table (font_data.cc).

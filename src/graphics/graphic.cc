@@ -33,32 +33,42 @@ Rect Graphic::CurrentClipLocal() const {
   return device_clip_.Translated(-device_bounds_.x, -device_bounds_.y);
 }
 
+Color Graphic::Transfer(Color dst, Color c) const {
+  switch (transfer_mode_) {
+    case TransferMode::kCopy:
+      return c;
+    case TransferMode::kOr:
+      return Color{std::min(dst.r, c.r), std::min(dst.g, c.g), std::min(dst.b, c.b)};
+    case TransferMode::kXor:
+      return Color{static_cast<uint8_t>(dst.r ^ c.r), static_cast<uint8_t>(dst.g ^ c.g),
+                   static_cast<uint8_t>(dst.b ^ c.b)};
+    case TransferMode::kInvert:
+      return dst.Inverted();
+  }
+  return c;
+}
+
 void Graphic::Plot(int local_x, int local_y, Color c) {
   int dx = local_x + device_bounds_.x;
   int dy = local_y + device_bounds_.y;
   if (!device_clip_.Contains(Point{dx, dy})) {
     return;
   }
-  switch (transfer_mode_) {
-    case TransferMode::kCopy:
-      DevicePlot(dx, dy, c);
-      break;
-    case TransferMode::kOr: {
-      Color cur = DeviceRead(dx, dy);
-      DevicePlot(dx, dy,
-                 Color{std::min(cur.r, c.r), std::min(cur.g, c.g), std::min(cur.b, c.b)});
-      break;
+  DevicePlot(dx, dy, transfer_mode_ == TransferMode::kCopy ? c : Transfer(DeviceRead(dx, dy), c));
+}
+
+void Graphic::DeviceFill(const Rect& device_rect, Color c) {
+  if (device_rect.IsEmpty()) {
+    return;
+  }
+  if (transfer_mode_ == TransferMode::kCopy) {
+    DeviceFillRect(device_rect, c);
+    return;
+  }
+  for (int y = device_rect.top(); y < device_rect.bottom(); ++y) {
+    for (int x = device_rect.left(); x < device_rect.right(); ++x) {
+      DevicePlot(x, y, Transfer(DeviceRead(x, y), c));
     }
-    case TransferMode::kXor: {
-      Color cur = DeviceRead(dx, dy);
-      DevicePlot(dx, dy, Color{static_cast<uint8_t>(cur.r ^ c.r),
-                               static_cast<uint8_t>(cur.g ^ c.g),
-                               static_cast<uint8_t>(cur.b ^ c.b)});
-      break;
-    }
-    case TransferMode::kInvert:
-      DevicePlot(dx, dy, DeviceRead(dx, dy).Inverted());
-      break;
   }
 }
 
@@ -136,18 +146,7 @@ void Graphic::DrawRect(const Rect& r) {
 }
 
 void Graphic::FillRectInternal(const Rect& local, Color c) {
-  if (transfer_mode_ == TransferMode::kCopy) {
-    Rect device = local.Translated(device_bounds_.x, device_bounds_.y).Intersect(device_clip_);
-    if (!device.IsEmpty()) {
-      DeviceFillRect(device, c);
-    }
-    return;
-  }
-  for (int y = local.top(); y < local.bottom(); ++y) {
-    for (int x = local.left(); x < local.right(); ++x) {
-      Plot(x, y, c);
-    }
-  }
+  DeviceFill(local.Translated(device_bounds_.x, device_bounds_.y).Intersect(device_clip_), c);
 }
 
 void Graphic::FillRect(const Rect& r) {
@@ -278,14 +277,29 @@ void Graphic::FillPolygon(std::span<const Point> points) {
 void Graphic::DrawString(Point top_left, std::string_view text) {
   CountOp();
   const Font& f = *font_;
-  int cell_w = f.advance();
-  int cell_h = f.ascent();  // Glyph rows live in the ascent band.
-  int x = top_left.x;
+  const int cell_w = f.advance();
+  const int top = top_left.y + device_bounds_.y;
+  // Glyph rows live in the ascent band; clip it once for the whole string.
+  const int y0 = std::max(top, device_clip_.top());
+  const int y1 = std::min(top + f.ascent(), device_clip_.bottom());
+  if (y0 >= y1) {
+    return;
+  }
+  int x = top_left.x + device_bounds_.x;
   for (char ch : text) {
-    for (int gy = 0; gy < cell_h; ++gy) {
-      for (int gx = 0; gx < cell_w; ++gx) {
-        if (f.GlyphBit(ch, gx, gy)) {
-          Plot(x + gx, top_left.y + gy, foreground_);
+    if (x >= device_clip_.right()) {
+      break;  // This cell and the rest lie right of the clip.
+    }
+    // The part of this cell inside the clip; cells wholly outside it draw
+    // nothing.
+    const int x0 = std::max(x, device_clip_.left());
+    const int x1 = std::min(x + cell_w, device_clip_.right());
+    if (x0 < x1) {
+      for (int y = y0; y < y1; ++y) {
+        for (const Font::Span& span : f.RowSpans(ch, y - top)) {
+          int left = std::max(x + span.x0, x0);
+          int right = std::min(x + span.x1, x1);
+          DeviceFill(Rect{left, y, right - left, 1}, foreground_);
         }
       }
     }

@@ -54,6 +54,7 @@ class Graphic : public Object {
   Color background() const { return background_; }
 
   void SetFont(const FontSpec& spec) { font_ = &Font::Get(spec); }
+  void SetFont(const Font& font) { font_ = &font; }
   const Font& font() const { return *font_; }
 
   void SetLineWidth(int w) { line_width_ = w < 1 ? 1 : w; }
@@ -135,6 +136,11 @@ class Graphic : public Object {
   const Rect& device_clip() const { return device_clip_; }
 
  private:
+  // What the transfer mode makes of source `c` over destination `dst`.
+  Color Transfer(Color dst, Color c) const;
+  // Applies the transfer mode over `device_rect`, which the caller has
+  // already clipped; an empty rect draws nothing.
+  void DeviceFill(const Rect& device_rect, Color c);
   void FillRectInternal(const Rect& local, Color c);
   void ThickLine(Point a, Point b, Color c);
   void ScanFillPolygon(std::span<const Point> points, Color c);

@@ -1,5 +1,6 @@
 #include "src/graphics/pixel_image.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace atk {
@@ -37,21 +38,13 @@ void PixelImage::FillRect(const Rect& rect, Color c) {
 
 void PixelImage::Blit(const PixelImage& src, const Rect& src_rect, Point dst_origin) {
   Rect source = src_rect.Intersect(src.bounds());
-  for (int dy = 0; dy < source.height; ++dy) {
-    int sy = source.y + dy;
-    int ty = dst_origin.y + dy;
-    if (ty < 0 || ty >= height_) {
-      continue;
-    }
-    for (int dx = 0; dx < source.width; ++dx) {
-      int sx = source.x + dx;
-      int tx = dst_origin.x + dx;
-      if (tx < 0 || tx >= width_) {
-        continue;
-      }
-      pixels_[static_cast<size_t>(ty) * width_ + tx] =
-          src.pixels_[static_cast<size_t>(sy) * src.width_ + sx];
-    }
+  // Clip where the source lands against this image, then copy whole rows.
+  Rect target = Rect{dst_origin.x, dst_origin.y, source.width, source.height}.Intersect(bounds());
+  int sx = source.x + (target.x - dst_origin.x);
+  int sy = source.y + (target.y - dst_origin.y);
+  for (int row = 0; row < target.height; ++row) {
+    std::copy_n(&src.pixels_[static_cast<size_t>(sy + row) * src.width_ + sx], target.width,
+                &pixels_[static_cast<size_t>(target.y + row) * width_ + target.x]);
   }
 }
 

@@ -32,6 +32,7 @@ class PixelImage {
   void FillRect(const Rect& rect, Color c);
 
   // Copies `src_rect` of `src` to `dst_origin` here, clipping both ends.
+  // `src` must be another image.
   void Blit(const PixelImage& src, const Rect& src_rect, Point dst_origin);
 
   // Discards contents and reallocates.

@@ -1,16 +1,22 @@
 // Unit tests for the graphics substrate: geometry, regions, the framebuffer,
-// fonts and the Graphic drawable.
+// fonts and the Graphic drawable, plus two raster pins: DrawString against a
+// reference built from Font::GlyphBit, and a golden hash of an EZ window.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
+#include "src/apps/ez_app.h"
+#include "src/apps/standard_modules.h"
 #include "src/graphics/font.h"
 #include "src/graphics/geometry.h"
 #include "src/graphics/graphic.h"
 #include "src/graphics/pixel_image.h"
 #include "src/graphics/region.h"
+#include "src/workload/workload.h"
 
 namespace atk {
 namespace {
@@ -397,6 +403,27 @@ TEST(Font, BoldAddsInkItalicShears) {
   EXPECT_FALSE(italic.GlyphBit('H', 0, 0));
 }
 
+TEST(Font, HugeSizesRenderAtTheLargestScale) {
+  // A document may name any size; the glyph spans must still address every
+  // cell pixel.
+  const Font& huge = Font::Get(FontSpec{"andy", std::numeric_limits<int>::max(), kBold});
+  EXPECT_EQ(huge.scale(), 1024);
+  EXPECT_EQ(huge.advance(), 6 * 1024 + 1);
+  const int y = huge.ascent() - 1;
+  int span_ink = 0;
+  for (const Font::Span& span : huge.RowSpans('M', y)) {
+    EXPECT_LT(span.x0, span.x1);
+    EXPECT_LE(span.x1, huge.advance());
+    span_ink += span.x1 - span.x0;
+  }
+  int bit_ink = 0;
+  for (int x = 0; x < huge.advance(); ++x) {
+    bit_ink += huge.GlyphBit('M', x, y) ? 1 : 0;
+  }
+  EXPECT_EQ(span_ink, bit_ink);
+  EXPECT_GT(span_ink, 0);
+}
+
 TEST(Font, CharIndexAtForHitTesting) {
   const Font& font = Font::Default();
   EXPECT_EQ(font.CharIndexAt(0), 0);
@@ -570,6 +597,162 @@ TEST_F(GraphicTest, DrawImageCopiesPixels) {
   EXPECT_EQ(image_.GetPixel(30, 30), kBlack);
   EXPECT_EQ(image_.GetPixel(33, 33), kBlack);
   EXPECT_EQ(image_.GetPixel(34, 34), kWhite);
+}
+
+// ---- Raster pins ---------------------------------------------------------------------
+
+// What DrawString must produce: every inked GlyphBit of every cell, clipped
+// to `clip` (device coordinates) and combined with the destination under
+// `mode`, written with SetPixel.
+void ReferenceString(PixelImage& image, const Font& font, Point device_top_left,
+                     std::string_view text, Color c, TransferMode mode, const Rect& clip) {
+  int x = device_top_left.x;
+  for (char ch : text) {
+    for (int gy = 0; gy < font.ascent(); ++gy) {
+      for (int gx = 0; gx < font.advance(); ++gx) {
+        int px = x + gx;
+        int py = device_top_left.y + gy;
+        if (!font.GlyphBit(ch, gx, gy) || !clip.Contains(Point{px, py})) {
+          continue;
+        }
+        Color cur = image.GetPixel(px, py);
+        switch (mode) {
+          case TransferMode::kCopy:
+            image.SetPixel(px, py, c);
+            break;
+          case TransferMode::kOr:
+            image.SetPixel(px, py, Color{std::min(cur.r, c.r), std::min(cur.g, c.g),
+                                         std::min(cur.b, c.b)});
+            break;
+          case TransferMode::kXor:
+            image.SetPixel(px, py, Color{static_cast<uint8_t>(cur.r ^ c.r),
+                                         static_cast<uint8_t>(cur.g ^ c.g),
+                                         static_cast<uint8_t>(cur.b ^ c.b)});
+            break;
+          case TransferMode::kInvert:
+            image.SetPixel(px, py, cur.Inverted());
+            break;
+        }
+      }
+    }
+    x += font.advance();
+  }
+}
+
+// A background with every channel varying, so Or/Xor/Invert show.
+PixelImage PatternImage(int width, int height) {
+  PixelImage image(width, height);
+  for (int y = 0; y < height; ++y) {
+    for (int x = 0; x < width; ++x) {
+      image.SetPixel(x, y, Color{static_cast<uint8_t>(x * 7), static_cast<uint8_t>(y * 13),
+                                 static_cast<uint8_t>((x + y) * 5)});
+    }
+  }
+  return image;
+}
+
+// Every char 0-255, as 16 strings of 16, at every size x style x transfer
+// mode, under three clip set-ups: a negative origin on the bare image, a
+// pushed clip that cuts through glyph cells, and a sub-graphic whose clip
+// and origin both cut cells.
+TEST(RasterPin, DrawStringMatchesGlyphBitReference) {
+  const TransferMode kModes[] = {TransferMode::kCopy, TransferMode::kXor, TransferMode::kOr,
+                                 TransferMode::kInvert};
+  const Color ink{200, 30, 90};
+  for (int size : {10, 12, 20, 24, 36, 72}) {
+    for (unsigned style : {unsigned{kPlain}, unsigned{kBold}, unsigned{kItalic},
+                           unsigned{kBold} | unsigned{kItalic}}) {
+      const Font& font = Font::Get(FontSpec{"andy", size, style});
+      const int cell_w = font.advance();
+      const int cell_h = font.ascent();
+      const int width = 15 * cell_w + cell_w / 3;
+      const int height = 16 * cell_h + 4;
+      for (TransferMode mode : kModes) {
+        for (int setup = 0; setup < 3; ++setup) {
+          PixelImage actual = PatternImage(width, height);
+          PixelImage expected = actual;
+          ImageGraphic root(&actual, actual.bounds());
+          std::unique_ptr<Graphic> sub;
+          Graphic* g = &root;
+          Point origin{-cell_w - cell_w / 2, -3};  // Local to `g`.
+          Point device_offset{0, 0};
+          Rect clip = actual.bounds();  // Device coordinates.
+          if (setup == 1) {
+            Rect local{cell_w / 2 + 1, cell_h / 3, width - cell_w - 3, height - cell_h};
+            root.PushClip(local);
+            clip = clip.Intersect(local);
+            origin = Point{2, 1};
+          } else if (setup == 2) {
+            Rect bounds{cell_w / 2 + 3, cell_h / 2 + 1, width - cell_w, height - cell_h};
+            sub = root.CreateSub(bounds);
+            Rect local{1, 2, bounds.width - cell_w / 2 - 1, bounds.height - 5};
+            sub->PushClip(local);
+            g = sub.get();
+            device_offset = bounds.origin();
+            clip = clip.Intersect(bounds).Intersect(local.Translated(bounds.x, bounds.y));
+            origin = Point{-cell_w / 3, -cell_h / 2};
+          }
+          g->SetFont(font.spec());
+          g->SetForeground(ink);
+          g->SetTransferMode(mode);
+          for (int row = 0; row < 16; ++row) {
+            std::string text;
+            for (int col = 0; col < 16; ++col) {
+              text += static_cast<char>(row * 16 + col);
+            }
+            Point top_left{origin.x, origin.y + row * cell_h};
+            g->DrawString(top_left, text);
+            ReferenceString(expected, font,
+                            Point{top_left.x + device_offset.x, top_left.y + device_offset.y},
+                            text, ink, mode, clip);
+          }
+          ASSERT_EQ(actual.DiffCount(expected), 0)
+              << "size " << size << " style " << style << " mode " << static_cast<int>(mode)
+              << " setup " << setup;
+        }
+      }
+    }
+  }
+}
+
+// The pixels of an EZ window on the X11 simulation showing a seeded styled
+// document: first paint, then typed keys with a drag selection, then a page
+// scroll.  The hashes were recorded from the per-pixel GlyphBit raster; any
+// raster, layout or flush change that moves a pixel changes them.
+TEST(RasterPin, EzWindowGoldenHashes) {
+  RegisterStandardModules();
+  std::unique_ptr<WindowSystem> ws = WindowSystem::Open("x11");
+  ASSERT_NE(ws, nullptr);
+  EzApp ez;
+  std::unique_ptr<InteractionManager> im = ez.Start(*ws, {"ez"});
+  ASSERT_NE(im, nullptr);
+  WorkloadRng gen(20261020);
+  ASSERT_TRUE(ez.LoadDocumentString(WriteDocument(*GenerateDocument(gen, 24))));
+  im->RunOnce();
+  const PixelImage& screen = im->window()->Display();
+  ASSERT_EQ(screen.width(), 560);
+  ASSERT_EQ(screen.height(), 400);
+  std::vector<uint64_t> hashes{screen.Hash()};
+
+  for (char ch : std::string("Keystroke to pixel.\n")) {
+    im->window()->Inject(InputEvent::KeyPress(ch));
+  }
+  Rect body = ez.text_view()->DeviceBounds();
+  Point from{body.x + 40, body.y + 30};
+  Point to{body.x + 200, body.y + 75};
+  im->window()->Inject(InputEvent::MouseAt(EventType::kMouseDown, from));
+  im->window()->Inject(InputEvent::MouseAt(EventType::kMouseDrag, to));
+  im->window()->Inject(InputEvent::MouseAt(EventType::kMouseUp, to));
+  im->RunOnce();
+  hashes.push_back(screen.Hash());
+
+  im->window()->Inject(InputEvent::KeyPress(Ctl('v')));
+  im->RunOnce();
+  hashes.push_back(screen.Hash());
+
+  const std::vector<uint64_t> kGolden{17515780578133080184ull, 8758517606352942529ull,
+                                      8477920263406345469ull};
+  EXPECT_EQ(hashes, kGolden);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/apps/standard_modules.h"
 #include "src/base/interaction_manager.h"
 #include "src/class_system/loader.h"
@@ -171,6 +173,41 @@ TEST_F(TextDataTest, StylesFollowEdits) {
   EXPECT_EQ(text_.StyleNameAt(5), "bold");
   text_.DeleteRange(0, 4);         // Delete through the run's start.
   EXPECT_EQ(text_.StyleNameAt(0), "bold");
+}
+
+TEST_F(TextDataTest, StyleRunEndsBoundTheStretchASingleLookupCovers) {
+  text_.InsertString(0, "the quick brown fox");
+  text_.ApplyStyle(4, 5, "bold");     // "quick"
+  text_.ApplyStyle(10, 5, "italic");  // "brown"
+  int64_t end = 0;
+  EXPECT_EQ(text_.StyleAt(0, &end).name, "default");
+  EXPECT_EQ(end, 4);
+  EXPECT_EQ(text_.StyleAt(6, &end).name, "bold");
+  EXPECT_EQ(end, 9);
+  EXPECT_EQ(text_.StyleAt(9, &end).name, "default");
+  EXPECT_EQ(end, 10);
+  EXPECT_EQ(text_.StyleAt(12, &end).name, "italic");
+  EXPECT_EQ(end, 15);
+  EXPECT_EQ(text_.StyleAt(15, &end).name, "default");
+  EXPECT_EQ(end, std::numeric_limits<int64_t>::max());
+}
+
+TEST_F(TextDataTest, OverlappingStyleRunsFromAFileResolveToTheEarlierRun) {
+  // A hand-written list: italic overlaps bold's tail, heading lies inside
+  // bold.  Reading keeps the runs disjoint, each position keeping the style
+  // of the earliest-starting run that covers it.
+  std::string doc =
+      "\\begindata{text,1}\n\\textstyle{bold,2,6}\n\\textstyle{italic,4,6}\n"
+      "\\textstyle{heading,3,2}\nabcdefghijklmn\\enddata{text,1}\n";
+  std::unique_ptr<DataObject> read = ReadDocument(doc);
+  TextData* back = ObjectCast<TextData>(read.get());
+  ASSERT_NE(back, nullptr);
+  ASSERT_EQ(back->GetAllText(), "abcdefghijklmn");
+  ASSERT_EQ(back->style_runs().size(), 2u);
+  for (int64_t pos = 0; pos < back->size(); ++pos) {
+    const char* want = pos < 2 ? "default" : pos < 8 ? "bold" : pos < 10 ? "italic" : "default";
+    EXPECT_EQ(back->StyleNameAt(pos), want) << "at " << pos;
+  }
 }
 
 TEST_F(TextDataTest, EmbeddedObjectsTrackPositions) {

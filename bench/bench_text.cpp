@@ -7,6 +7,7 @@
 
 #include "bench/bench_json.h"
 
+#include "src/apps/ez_app.h"
 #include "src/apps/standard_modules.h"
 #include "src/base/interaction_manager.h"
 #include "src/class_system/loader.h"
@@ -110,6 +111,32 @@ void BM_LayoutOnlyByDocSize(benchmark::State& state) {
   (void)text;
 }
 BENCHMARK(BM_LayoutOnlyByDocSize)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
+
+// One whole-window repaint of EZ (frame, scroll bar, text view) over a
+// 20k-char styled document: what every page scroll costs, and the floor of
+// every other op while keys still repaint the whole text view.
+void BM_EzWindowFullRepaint(benchmark::State& state) {
+  Setup();
+  std::unique_ptr<WindowSystem> ws = WindowSystem::Open("x11");
+  WorkloadRng rng(4);
+  std::unique_ptr<TextData> doc = GenerateDocument(rng, 90);
+  doc->DeleteRange(20000, doc->size() - 20000);
+  EzApp ez;
+  std::unique_ptr<InteractionManager> im = ez.Start(*ws, {"ez"});
+  if (!ez.LoadDocumentString(WriteDocument(*doc))) {
+    state.SkipWithError("document did not load");
+    return;
+  }
+  im->RunOnce();
+  for (auto _ : state) {
+    im->PostUpdate();
+    im->RunUpdateCycle();
+    im->window()->Flush();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["doc_chars"] = static_cast<double>(ez.document()->size());
+}
+BENCHMARK(BM_EzWindowFullRepaint);
 
 void BM_StyleRunMaintenance(benchmark::State& state) {
   Setup();

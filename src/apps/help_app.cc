@@ -26,7 +26,8 @@ void HelpLayoutView::FullUpdate() {
   if (g == nullptr) {
     return;
   }
-  g->Clear();
+  // The document and the index paint their own panes; the layout owns only
+  // the rule between them.
   Rect b = g->LocalBounds();
   int index_w = std::min(kIndexWidth, b.width / 3);
   g->SetForeground(kBlack);

@@ -27,7 +27,7 @@ void MessagesLayoutView::FullUpdate() {
   if (g == nullptr) {
     return;
   }
-  g->Clear();
+  // The three panes paint themselves; the layout owns only the two rules.
   Rect b = g->LocalBounds();
   int folder_w = std::min(kFolderPaneWidth, b.width / 3);
   int caption_h = std::min(kCaptionPaneHeight, b.height / 3);
@@ -147,7 +147,9 @@ class ComposeLayoutView : public View {
     if (g == nullptr) {
       return;
     }
-    g->Clear();
+    // The fields and the body paint themselves; the layout owns the blank
+    // row under the fields and the rule below it.
+    g->EraseRect(Rect{0, 2 * kFieldHeight, g->width(), 1});
     g->SetForeground(kGray);
     g->DrawLine(Point{0, 2 * kFieldHeight + 1}, Point{g->width() - 1, 2 * kFieldHeight + 1});
   }

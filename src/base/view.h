@@ -85,6 +85,11 @@ class View : public Object, public Observer {
   // ---- Painting ------------------------------------------------------------
   // Draws this view's own content.  Children are drawn by the update pass
   // *after* the parent, so the parent's image is below its children's.
+  // The paint contract: together, a view and its children paint every
+  // pixel of the view's allocation.  Each child paints all of its own, so a
+  // parent paints only the area it allocated to no child (dividers, gaps)
+  // and never pre-clears its children's area.  The default clears the whole
+  // allocation, which suits a view with no children and nothing to draw.
   virtual void FullUpdate();
   // Repaints within the damage clip already applied to graphic(); default
   // is a full redraw.

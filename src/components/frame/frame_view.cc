@@ -87,7 +87,11 @@ void FrameView::FullUpdate() {
   if (g == nullptr) {
     return;
   }
-  g->Clear();
+  // The message line and the body paint their own allocations: the frame
+  // owns the divider row, and the body area only while it has no body.
+  if (body_ == nullptr) {
+    g->EraseRect(Rect{0, divider_ + 1, g->width(), g->height() - divider_ - 1});
+  }
   g->SetForeground(kBlack);
   g->DrawLine(Point{0, divider_}, Point{g->width() - 1, divider_});
 }

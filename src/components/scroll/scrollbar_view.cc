@@ -55,6 +55,10 @@ void ScrollBarView::FullUpdate() {
   }
   Rect bar{0, 0, kBarWidth, g->height()};
   g->FillRect(bar, kLightGray);
+  if (body_ == nullptr) {
+    // No body paints the rest of the allocation.
+    g->EraseRect(Rect{kBarWidth, 0, g->width() - kBarWidth, g->height()});
+  }
   g->SetForeground(kDarkGray);
   g->DrawLine(Point{kBarWidth - 1, 0}, Point{kBarWidth - 1, g->height() - 1});
   Rect elevator = ElevatorRect();

@@ -2,8 +2,8 @@
 //
 // This is the PR-5 snapshot of DataStreamReader before the pinned-buffer
 // rewrite: it materializes an owning std::string per token and accumulates
-// text byte-by-byte.  It is kept in-tree for two reasons (the same policy
-// PR 3 applied to the flat-rect region algorithm):
+// text byte-by-byte.  It is kept in-tree, in its own library
+// (atk_datastream_baseline) that the toolkit does not link, for two reasons:
 //
 //  * bench_datastream's BM_ReadDocumentBySize_Baseline measures the copying
 //    ingestion path against the zero-copy one, and check_perf.sh pins the

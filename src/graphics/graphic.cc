@@ -80,6 +80,10 @@ void Graphic::DeviceFillRect(const Rect& device_rect, Color c) {
   }
 }
 
+void Graphic::DeviceFillSpan(int y, int x0, int x1, Color c) {
+  DeviceFillRect(Rect{x0, y, x1 - x0, 1}, c);
+}
+
 void Graphic::DrawPoint(Point p) {
   CountOp();
   Plot(p.x, p.y, foreground_);
@@ -285,6 +289,9 @@ void Graphic::DrawString(Point top_left, std::string_view text) {
   if (y0 >= y1) {
     return;
   }
+  // Copy-mode spans go straight to the device row; the other modes read
+  // each destination pixel through DeviceFill.
+  const bool copy = transfer_mode_ == TransferMode::kCopy;
   int x = top_left.x + device_bounds_.x;
   for (char ch : text) {
     if (x >= device_clip_.right()) {
@@ -299,7 +306,14 @@ void Graphic::DrawString(Point top_left, std::string_view text) {
         for (const Font::Span& span : f.RowSpans(ch, y - top)) {
           int left = std::max(x + span.x0, x0);
           int right = std::min(x + span.x1, x1);
-          DeviceFill(Rect{left, y, right - left, 1}, foreground_);
+          if (left >= right) {
+            continue;
+          }
+          if (copy) {
+            DeviceFillSpan(y, left, right, foreground_);
+          } else {
+            DeviceFill(Rect{left, y, right - left, 1}, foreground_);
+          }
         }
       }
     }
@@ -357,6 +371,18 @@ Color ImageGraphic::DeviceRead(int x, int y) const {
 void ImageGraphic::DeviceFillRect(const Rect& device_rect, Color c) {
   if (target_ != nullptr) {
     target_->FillRect(device_rect, c);
+  }
+}
+
+void ImageGraphic::DeviceFillSpan(int y, int x0, int x1, Color c) {
+  // The clip lies inside the image unless the image shrank under a graphic
+  // its view has not been reallocated from yet.
+  if (target_ == nullptr || y >= target_->height()) {
+    return;
+  }
+  int n = std::min(x1, target_->width()) - x0;
+  if (n > 0) {
+    std::fill_n(target_->Row(y) + x0, n, c);
   }
 }
 

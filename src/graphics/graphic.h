@@ -10,8 +10,9 @@
 //
 // The base class implements every op in terms of two device primitives
 // (DevicePlot / DeviceRead), so a backend only supplies pixels.  Backends may
-// override DeviceFillRect for speed.  Each public op is tallied, which gives
-// the simulated X11 backend its protocol-request accounting.
+// override DeviceFillRect and DeviceFillSpan for speed.  Each public op is
+// tallied, which gives the simulated X11 backend its protocol-request
+// accounting.
 
 #ifndef ATK_SRC_GRAPHICS_GRAPHIC_H_
 #define ATK_SRC_GRAPHICS_GRAPHIC_H_
@@ -123,6 +124,10 @@ class Graphic : public Object {
   // Fast path for solid rectangles; `device_rect` is clipped already and the
   // transfer mode is kCopy.  Default loops DevicePlot.
   virtual void DeviceFillRect(const Rect& device_rect, Color c);
+  // Fast path for one glyph span: writes `c` over device pixels [x0, x1) of
+  // row `y`, which the caller has clipped (x0 < x1); the transfer mode is
+  // kCopy.  Default is a one-row DeviceFillRect.
+  virtual void DeviceFillSpan(int y, int x0, int x1, Color c);
 
   // Initializes geometry; for use by backend constructors.
   void SetDeviceBounds(const Rect& device_bounds);
@@ -177,6 +182,7 @@ class ImageGraphic : public Graphic {
   void DevicePlot(int x, int y, Color c) override;
   Color DeviceRead(int x, int y) const override;
   void DeviceFillRect(const Rect& device_rect, Color c) override;
+  void DeviceFillSpan(int y, int x0, int x1, Color c) override;
 
  private:
   PixelImage* target_ = nullptr;

@@ -28,11 +28,14 @@ void PixelImage::Fill(Color c) { pixels_.assign(pixels_.size(), c); }
 
 void PixelImage::FillRect(const Rect& rect, Color c) {
   Rect clipped = rect.Intersect(bounds());
-  for (int y = clipped.top(); y < clipped.bottom(); ++y) {
-    Color* row = &pixels_[static_cast<size_t>(y) * width_];
-    for (int x = clipped.left(); x < clipped.right(); ++x) {
-      row[x] = c;
-    }
+  if (clipped.IsEmpty()) {
+    return;
+  }
+  // Fill the first row pixel by pixel, then copy it whole into the rest.
+  Color* first = Row(clipped.y) + clipped.x;
+  std::fill_n(first, clipped.width, c);
+  for (int row = 1; row < clipped.height; ++row) {
+    std::copy_n(first, clipped.width, first + static_cast<size_t>(row) * width_);
   }
 }
 

@@ -28,6 +28,10 @@ class PixelImage {
   Color GetPixel(int x, int y) const;
   bool InBounds(int x, int y) const { return x >= 0 && x < width_ && y >= 0 && y < height_; }
 
+  // Row `y` (0 <= y < height()) as a writable array of width() pixels; no
+  // bounds check, for callers that have clipped already.
+  Color* Row(int y) { return &pixels_[static_cast<size_t>(y) * width_]; }
+
   void Fill(Color c);
   void FillRect(const Rect& rect, Color c);
 

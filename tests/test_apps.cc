@@ -382,6 +382,78 @@ TEST_F(AppTest, PreviewShowsPagedDocument) {
   EXPECT_GE(app.page_view()->PageCount(), 1);
 }
 
+// ---- Paint contract ------------------------------------------------------------------------------
+
+// A full update must paint every pixel of the window (view.h's paint
+// contract): the frame and the app layouts paint only their dividers and
+// gaps and leave each pane to its view.  The canvas is first filled with a
+// sentinel colour no view draws, so a pixel no view painted still shows it.
+// Golden hashes repaint over white and cannot see such a pixel.
+int64_t SentinelPixelsAfterFullUpdate(InteractionManager& im) {
+  const Color sentinel{1, 2, 3};
+  im.RunOnce();
+  Graphic* g = im.window()->GetGraphic();
+  g->FillRect(g->LocalBounds(), sentinel);
+  im.PostUpdate();
+  im.RunUpdateCycle();
+  im.window()->Flush();
+  const PixelImage& shown = im.window()->Display();
+  int64_t left = 0;
+  for (int y = 0; y < shown.height(); ++y) {
+    for (int x = 0; x < shown.width(); ++x) {
+      left += shown.GetPixel(x, y) == sentinel ? 1 : 0;
+    }
+  }
+  return left;
+}
+
+TEST_F(AppTest, EveryAppWindowIsOpaqueAfterAFullUpdate) {
+  Loader::Instance().Require("drawing");
+  for (const char* backend : {"itc", "x11"}) {
+    std::unique_ptr<WindowSystem> ws = WindowSystem::Open(backend);
+    ASSERT_NE(ws, nullptr) << backend;
+    {
+      EzApp ez;
+      std::unique_ptr<InteractionManager> im = ez.Start(*ws, {"ez"});
+      WorkloadRng gen(4);
+      ASSERT_TRUE(ez.LoadDocumentString(WriteDocument(*GenerateDocument(gen, 24))));
+      EXPECT_EQ(SentinelPixelsAfterFullUpdate(*im), 0) << backend << " ez";
+    }
+    {
+      HelpApp help;
+      std::unique_ptr<InteractionManager> im = help.Start(*ws, {"help"});
+      ASSERT_TRUE(help.ShowTopic("messages"));
+      EXPECT_EQ(SentinelPixelsAfterFullUpdate(*im), 0) << backend << " help";
+    }
+    {
+      MessagesApp messages;
+      WorkloadRng rng(7);
+      GenerateMailbox(rng, messages.store(), 3, 4, 0.5);
+      std::unique_ptr<InteractionManager> im = messages.Start(*ws, {"messages"});
+      im->RunOnce();
+      messages.caption_list()->Select(0);
+      EXPECT_EQ(SentinelPixelsAfterFullUpdate(*im), 0) << backend << " messages";
+      auto composer = messages.NewComposer();
+      std::unique_ptr<InteractionManager> compose_im = composer->OpenWindow(*ws);
+      composer->to().SetText("palay@andrew");
+      composer->body().SetText("Knowing your fondness for big cats...\n");
+      EXPECT_EQ(SentinelPixelsAfterFullUpdate(*compose_im), 0) << backend << " compose";
+    }
+    {
+      PreviewApp preview;
+      preview.LoadTroff(".ce 1\nTitle\n.sp 2\nbody text follows here\n");
+      std::unique_ptr<InteractionManager> im = preview.Start(*ws, {"preview"});
+      EXPECT_EQ(SentinelPixelsAfterFullUpdate(*im), 0) << backend << " preview";
+    }
+    {
+      TypescriptApp typescript;
+      std::unique_ptr<InteractionManager> im = typescript.Start(*ws, {"typescript"});
+      typescript.view()->RunCommand("ls");
+      EXPECT_EQ(SentinelPixelsAfterFullUpdate(*im), 0) << backend << " typescript";
+    }
+  }
+}
+
 // ---- runapp over the real application modules ------------------------------------------------------
 
 TEST_F(AppTest, RunAppStartsEveryStandardApplication) {

@@ -472,5 +472,57 @@ TEST_F(ComponentTest, FrameDividerDragAndDialog) {
   EXPECT_EQ(frame.AskUser("Again?", "no"), "no");
 }
 
+// The paint contract (view.h) for containers that leave part of their
+// allocation to no child: a frame with no body and a scroll bar with no
+// body paint the empty area themselves, so a full update over a sentinel
+// canvas leaves none of it.
+TEST_F(ComponentTest, FramePaintsOnlyItsDividerRow) {
+  const Color sentinel{1, 2, 3};
+  FrameView frame;
+  BlockHost body;
+  frame.SetBody(&body);
+  im_->SetChild(&frame);
+  Pump();
+  Graphic* g = im_->window()->GetGraphic();
+  g->FillRect(g->LocalBounds(), sentinel);
+  frame.FullUpdate();  // The frame alone, without the children's repaint.
+  im_->window()->Flush();
+  const PixelImage& shown = im_->window()->Display();
+  for (int y = 0; y < shown.height(); ++y) {
+    Color expected = y == frame.divider() ? kBlack : sentinel;
+    ASSERT_EQ(shown.GetPixel(0, y), expected) << "row " << y;
+    ASSERT_EQ(shown.GetPixel(shown.width() - 1, y), expected) << "row " << y;
+  }
+  frame.SetBody(nullptr);
+  im_->SetChild(nullptr);
+}
+
+TEST_F(ComponentTest, ContainersWithoutABodyPaintTheirWholeAllocation) {
+  const Color sentinel{1, 2, 3};
+  FrameView frame;
+  ScrollBarView scrollbar;
+  for (bool with_scrollbar : {false, true}) {
+    frame.SetBody(with_scrollbar ? &scrollbar : nullptr);
+    im_->SetChild(&frame);
+    Pump();
+    Graphic* g = im_->window()->GetGraphic();
+    g->FillRect(g->LocalBounds(), sentinel);
+    im_->PostUpdate();
+    im_->RunUpdateCycle();
+    im_->window()->Flush();
+    const PixelImage& shown = im_->window()->Display();
+    int left = 0;
+    for (int y = 0; y < shown.height(); ++y) {
+      for (int x = 0; x < shown.width(); ++x) {
+        left += shown.GetPixel(x, y) == sentinel ? 1 : 0;
+      }
+    }
+    EXPECT_EQ(left, 0) << (with_scrollbar ? "scroll bar with no body" : "frame with no body");
+    EXPECT_EQ(shown.GetPixel(150, 100), kWhite);
+  }
+  frame.SetBody(nullptr);
+  im_->SetChild(nullptr);
+}
+
 }  // namespace
 }  // namespace atk

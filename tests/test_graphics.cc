@@ -651,6 +651,50 @@ PixelImage PatternImage(int width, int height) {
   return image;
 }
 
+// FillRect fills its first clipped row and copies that row into the rows
+// below.  Each rect must change exactly the pixels a per-pixel SetPixel
+// fill changes, over a patterned image where a misplaced row shows.
+TEST(PixelImage, FillRectRowCopyMatchesPerPixelFill) {
+  const Color ink{9, 8, 7};
+  const Rect kCases[] = {
+      Rect{3, 4, 0, 5},       // Empty: no width.
+      Rect{3, 4, 5, -1},      // Empty: negative height.
+      Rect{2, 5, 9, 1},       // A single row.
+      Rect{6, 1, 1, 7},       // Width 1.
+      Rect{-3, -2, 20, 15},   // Clipped on every side of the 12x9 image.
+      Rect{-4, 3, 6, 4},      // Clipped on the left only.
+      Rect{12, 0, 3, 3},      // Wholly right of the image.
+  };
+  for (const Rect& r : kCases) {
+    PixelImage actual = PatternImage(12, 9);
+    PixelImage expected = actual;
+    actual.FillRect(r, ink);
+    for (int y = r.top(); y < r.bottom(); ++y) {
+      for (int x = r.left(); x < r.right(); ++x) {
+        expected.SetPixel(x, y, ink);
+      }
+    }
+    EXPECT_EQ(actual.DiffCount(expected), 0)
+        << "rect " << r.x << "," << r.y << " " << r.width << "x" << r.height;
+  }
+}
+
+// A graphic whose device bounds outgrow its image (the image shrank under a
+// view not yet reallocated) draws copy-mode glyph spans only inside the
+// image, as the clipped per-rect path did.
+TEST(PixelImage, DrawStringStaysInsideAShrunkImage) {
+  const Font& font = Font::Get(FontSpec{"andy", 20, kBold});
+  PixelImage actual = PatternImage(3 * font.advance() + 2, font.ascent() - 3);
+  PixelImage expected = actual;
+  ImageGraphic g(&actual, Rect{0, 0, 400, 400});
+  g.SetFont(font.spec());
+  g.SetForeground(kBlack);
+  g.DrawString(Point{0, 0}, "WMW#");
+  ReferenceString(expected, font, Point{0, 0}, "WMW#", kBlack, TransferMode::kCopy,
+                  expected.bounds());
+  EXPECT_EQ(actual.DiffCount(expected), 0);
+}
+
 // Every char 0-255, as 16 strings of 16, at every size x style x transfer
 // mode, under three clip set-ups: a negative origin on the bare image, a
 // pushed clip that cuts through glyph cells, and a sub-graphic whose clip
